@@ -192,7 +192,6 @@ def _metadata(args) -> dict:
         "tool": "foldylax",
         "version": __version__,
         "seed": args.seed,
-        "threads": args.threads,
     }
 
 
@@ -426,10 +425,6 @@ def _build_parser():
     def common(p):
         p.add_argument("--scenario", help="scenario JSON path")
         p.add_argument("--out", help="output file (default stdout)")
-        p.add_argument("--threads", type=int,
-                       default=int(os.environ.get("FOLDY_THREADS", "0")) or None,
-                       help="worker threads (also env FOLDY_THREADS); results are "
-                            "deterministic regardless")
         p.add_argument("--seed", type=int, default=None, help="seed for randomized helpers")
 
     for name, fn, doc in (
@@ -462,9 +457,6 @@ def _build_parser():
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.threads:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, str(args.threads))
     try:
         return args.handler(args)
     except ScenarioError as exc:

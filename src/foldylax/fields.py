@@ -121,12 +121,7 @@ def varepsilon_kdm(k, delta: float, m: int) -> float:
         raise ValueError("m must be >= 1")
     if not delta > 0.0:
         raise ValueError("delta must be positive")
-    ak = abs(complex(k))
-    return (
-        (ak + 1.0) * math.log(m ** (1.0 / 3.0)) / delta**3
-        + (ak + 1.0) ** 2 * m ** (1.0 / 3.0) / delta**2
-        + (ak + 1.0) ** 3 * m ** (2.0 / 3.0) / delta
-    )
+    return sum(term[1] for term in _interaction_monomials(abs(complex(k)), delta, m))
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import Cluster
+from .geometry import Cluster, interaction_sum
 from .greens import check_wavenumber, coupling_kernels
 from .layerops import ClusterSpectra
 
@@ -52,7 +52,9 @@ __all__ = [
 ]
 
 DIRECT_SOLVE_CAP = 500  # dense path is O(m^3); larger clusters iterate
-KERNEL_CACHE_CAP = 600  # above this, pair kernels are recomputed per apply
+# Pi and Gx are kept when they fit in this many bytes, recomputed per apply otherwise
+COUPLING_CACHE_BYTES = 256 * 2**20
+_PAIR_BYTES = 2 * 9 * 16  # one body pair's 3x3 complex blocks of Pi and Gx
 
 _UNIT_TOL = 1e-12
 
@@ -117,10 +119,15 @@ class FoldySolution:
 class SystemBlocks:
     """Pairwise couplings and body tensors; supports matrix-free application.
 
-    ``apply`` evaluates the full 6m x 6m operator times a vector in O(m^2)
-    work without materializing the matrix; ``materialize`` builds the dense
-    matrix for small m.  Pair kernels are cached up to `KERNEL_CACHE_CAP`
-    bodies and recomputed in row blocks beyond that, so memory stays bounded.
+    The pair couplings are two dense 3m x 3m complex matrices in the body
+    ordering of ``a`` (or ``b``): ``Pi``, the dyadic blocks Pi(z_i, z_j) that
+    couple a to a and b to b, and ``Gx``, the blocks v -> grad_phi(z_i, z_j) x v
+    that couple a to b.  `_kernel_slabs` produces both in row slabs of bodies;
+    ``apply`` multiplies each slab with the stacked ``[a | b]`` and
+    ``materialize`` writes the dense 6m x 6m matrix from the same slabs.  The
+    slabs are kept when Pi and Gx together (288 m^2 bytes) fit in
+    `COUPLING_CACHE_BYTES` (256 MiB: m <= 965) and recomputed on every
+    application otherwise, so memory stays bounded for large m.
     """
 
     def __init__(self, centers, k, p_tensors, t_tensors, delta):
@@ -132,39 +139,49 @@ class SystemBlocks:
         self.m = len(self.centers)
         if self.p_tensors.shape != (self.m, 3, 3) or self.t_tensors.shape != (self.m, 3, 3):
             raise ValueError("need one 3x3 tensor pair per body")
-        self._grad = None
-        self._pi = None
-        if self.m <= KERNEL_CACHE_CAP:
-            self._grad, self._pi = self._pair_kernels(np.arange(self.m))
+        self._cached = None
+        if _PAIR_BYTES * self.m * self.m <= COUPLING_CACHE_BYTES:
+            self._cached = list(self._kernel_slabs())
 
-    def _pair_kernels(self, rows):
-        d = self.centers[rows, None, :] - self.centers[None, :, :]
-        mask = rows[:, None] == np.arange(self.m)[None, :]
-        return coupling_kernels(self.k, d, self_mask=mask)
+    def _kernel_slabs(self):
+        """Yield ``(i0, i1, pi, gx)``: rows 3*i0:3*i1 of Pi and Gx, freshly computed.
+
+        A slab is kept to a sixteenth of the cache budget, since the kernel
+        temporaries behind it are several times its size.
+        """
+        m = self.m
+        step = max(1, COUPLING_CACHE_BYTES // (16 * _PAIR_BYTES * max(m, 1)))
+        for i0 in range(0, m, step):
+            i1 = min(i0 + step, m)
+            rows = np.arange(i0, i1)
+            d = self.centers[rows, None, :] - self.centers[None, :, :]
+            grad, pi = coupling_kernels(self.k, d, self_mask=rows[:, None] == np.arange(m))
+            gx = np.zeros((i1 - i0, 3, m, 3), dtype=complex)
+            gx[:, 0, :, 1] = -grad[..., 2]
+            gx[:, 0, :, 2] = grad[..., 1]
+            gx[:, 1, :, 0] = grad[..., 2]
+            gx[:, 1, :, 2] = -grad[..., 0]
+            gx[:, 2, :, 0] = -grad[..., 1]
+            gx[:, 2, :, 1] = grad[..., 0]
+            shape = (3 * (i1 - i0), 3 * m)
+            yield i0, i1, pi.transpose(0, 2, 1, 3).reshape(shape), gx.reshape(shape)
+
+    def _slabs(self):
+        return self._cached if self._cached is not None else self._kernel_slabs()
 
     def coupling_sums(self, a, b):
         """Interaction sums  sa_i = sum_{j!=i} (Pi a_j - k^2 G x b_j)  and
         sb_i = sum_{j!=i} (-G x a_j + Pi b_j)."""
         k2 = self.k * self.k
-        if self._pi is not None:
-            pia = np.einsum("ijab,jb->ia", self._pi, a)
-            pib = np.einsum("ijab,jb->ia", self._pi, b)
-            gxa = np.cross(self._grad, a[None, :, :]).sum(axis=1)
-            gxb = np.cross(self._grad, b[None, :, :]).sum(axis=1)
-            return pia - k2 * gxb, -gxa + pib
-        sa = np.empty((self.m, 3), dtype=complex)
-        sb = np.empty((self.m, 3), dtype=complex)
-        block = max(1, KERNEL_CACHE_CAP * KERNEL_CACHE_CAP // max(self.m, 1))
-        for i0 in range(0, self.m, block):
-            rows = np.arange(i0, min(i0 + block, self.m))
-            grad, pi = self._pair_kernels(rows)
-            pia = np.einsum("ijab,jb->ia", pi, a)
-            pib = np.einsum("ijab,jb->ia", pi, b)
-            gxa = np.cross(grad, a[None, :, :]).sum(axis=1)
-            gxb = np.cross(grad, b[None, :, :]).sum(axis=1)
-            sa[rows] = pia - k2 * gxb
-            sb[rows] = -gxa + pib
-        return sa, sb
+        ab = np.stack([np.ravel(a), np.ravel(b)], axis=1)
+        sa = np.empty(3 * self.m, dtype=complex)
+        sb = np.empty(3 * self.m, dtype=complex)
+        for i0, i1, pi, gx in self._slabs():
+            pi_ab = pi @ ab
+            gx_ab = gx @ ab
+            sa[3 * i0 : 3 * i1] = pi_ab[:, 0] - k2 * gx_ab[:, 1]
+            sb[3 * i0 : 3 * i1] = -gx_ab[:, 0] + pi_ab[:, 1]
+        return sa.reshape(self.m, 3), sb.reshape(self.m, 3)
 
     def apply(self, x):
         """Operator application in the [a | b] ordering."""
@@ -180,67 +197,22 @@ class SystemBlocks:
         rhs = np.asarray(rhs, dtype=complex)
         return float(np.linalg.norm(self.apply(x) - rhs) / np.linalg.norm(rhs))
 
-    def q_blocks(self):
-        """Diagonal 3x3 blocks of the transformed system: [T_1..T_m | -P_1..-P_m]."""
-        return np.concatenate([self.t_tensors, -self.p_tensors])
-
-    def sigma_blocks(self):
-        """Same-type couplings -Pi(z_i, z_j) as a (2m, 2m, 3, 3) block array."""
-        _, pi = self._require_cached()
-        out = np.zeros((2 * self.m, 2 * self.m, 3, 3), dtype=complex)
-        out[: self.m, : self.m] = -pi
-        out[self.m :, self.m :] = -pi
-        return out
-
-    def theta_blocks(self):
-        """Cross-type couplings (grad_phi x) with k^2 weighting on one side."""
-        grad, _ = self._require_cached()
-        cross = _cross_matrices(grad)
-        out = np.zeros((2 * self.m, 2 * self.m, 3, 3), dtype=complex)
-        out[: self.m, self.m :] = cross
-        out[self.m :, : self.m] = self.k * self.k * cross
-        return out
-
-    def _require_cached(self):
-        if self._pi is None:
-            raise CapExceeded(f"block materialization limited to {KERNEL_CACHE_CAP} bodies")
-        return self._grad, self._pi
-
     def materialize(self):
         """Dense 6m x 6m matrix in the [a | b] ordering."""
-        grad, pi = self._require_cached()
         m, k2 = self.m, self.k * self.k
-        cross = _cross_matrices(grad)
-        aa = np.einsum("iab,ijbc->ijac", self.p_tensors, pi)
-        ab = -k2 * np.einsum("iab,ijbc->ijac", self.p_tensors, cross)
-        ba = np.einsum("iab,ijbc->ijac", self.t_tensors, cross)
-        bb = -np.einsum("iab,ijbc->ijac", self.t_tensors, pi)
-        full = np.block(
-            [
-                [_flatten_blocks(aa), _flatten_blocks(ab)],
-                [_flatten_blocks(ba), _flatten_blocks(bb)],
-            ]
-        )
-        full += np.eye(6 * m)
+        full = np.empty((6 * m, 6 * m), dtype=complex)
+        # quadrant[row type, body, component, column type, column]
+        quadrant = full.reshape(2, m, 3, 2, 3 * m)
+        for i0, i1, pi, gx in self._slabs():
+            p, t = self.p_tensors[i0:i1], self.t_tensors[i0:i1]
+            pi = pi.reshape(i1 - i0, 3, 3 * m)
+            gx = gx.reshape(i1 - i0, 3, 3 * m)
+            np.matmul(p, pi, out=quadrant[0, i0:i1, :, 0])
+            np.multiply(np.matmul(p, gx), -k2, out=quadrant[0, i0:i1, :, 1])
+            np.matmul(t, gx, out=quadrant[1, i0:i1, :, 0])
+            np.negative(np.matmul(t, pi), out=quadrant[1, i0:i1, :, 1])
+        full.flat[:: 6 * m + 1] += 1.0
         return full
-
-
-def _cross_matrices(g):
-    """Matrices X with X v = g x v, stacked over the leading axes of g."""
-    shape = g.shape[:-1]
-    x = np.zeros(shape + (3, 3), dtype=g.dtype)
-    x[..., 0, 1] = -g[..., 2]
-    x[..., 0, 2] = g[..., 1]
-    x[..., 1, 0] = g[..., 2]
-    x[..., 1, 2] = -g[..., 0]
-    x[..., 2, 0] = -g[..., 1]
-    x[..., 2, 1] = g[..., 0]
-    return x
-
-
-def _flatten_blocks(blocks):
-    m, n = blocks.shape[:2]
-    return blocks.transpose(0, 2, 1, 3).reshape(3 * m, 3 * n)
 
 
 def assemble(cluster: Cluster, tensors, wave: PlaneWave):
@@ -286,24 +258,13 @@ def solve_direct(blocks: SystemBlocks, rhs, cap: int = DIRECT_SOLVE_CAP) -> Fold
 
 def contraction_estimate(blocks: SystemBlocks) -> float:
     """Sufficient bound on the iteration operator norm (must be < 1)."""
-    m, delta, ak = blocks.m, blocks.delta, abs(blocks.k)
-    ev_hi = 0.0
-    for i in range(m):
-        ev_hi = max(
-            ev_hi,
-            float(np.linalg.eigvalsh(blocks.t_tensors[i]).max()),
-            float(np.linalg.eigvalsh(-blocks.p_tensors[i]).max()),
-        )
-    geom = (
-        math.log(m ** (1.0 / 3.0)) / delta**3
-        + 2.0 * ak * m ** (1.0 / 3.0) / delta**2
-        + m ** (2.0 / 3.0) * ak**2 / (2.0 * delta)
-    )
-    return 4.0 * ev_hi * geom
+    eigenvalues = np.linalg.eigvalsh(np.concatenate([blocks.t_tensors, -blocks.p_tensors]))
+    ev_hi = max(0.0, float(eigenvalues.max()))
+    return 4.0 * ev_hi * interaction_sum(blocks.k, blocks.delta, blocks.m)
 
 
-def _q_norm(q_blocks, x):
-    quad = np.einsum("ia,iab,ib->", x.conj(), q_blocks, x)
+def _q_norm(q, x):
+    quad = np.einsum("ia,iab,ib->", x.conj(), q, x)
     return math.sqrt(max(float(quad.real), 0.0))
 
 
@@ -339,7 +300,7 @@ def solve_neumann(
     e_bot = np.linalg.solve(-blocks.p_tensors, rhs_a[..., None])[..., 0]
     e = np.concatenate([e_top, e_bot])
 
-    q = blocks.q_blocks()
+    q = np.concatenate([blocks.t_tensors, -blocks.p_tensors])  # diagonal blocks [T | -P]
     c = e.copy()
     prev_inc = math.inf
     growth_streak = 0
@@ -448,14 +409,8 @@ def invertibility_constants(
         + math.sqrt(63.0) * ak**2 * d ** (2.0 / 3.0) / (4.0 * math.pi)
     )
     mu_hi = float(spectra.mu_plus_dimensional)
-    delta, m = cluster.delta, cluster.m
-    c_li = 1.0 - c_ls * mu_hi / delta**3
-    geom = (
-        math.log(m ** (1.0 / 3.0)) / delta**3
-        + 2.0 * ak * m ** (1.0 / 3.0) / delta**2
-        + m ** (2.0 / 3.0) * ak**2 / (2.0 * delta)
-    )
-    c_li2 = 1.0 - 4.0 * mu_hi * geom
+    c_li = 1.0 - c_ls * mu_hi / cluster.delta**3
+    c_li2 = 1.0 - 4.0 * mu_hi * interaction_sum(k, cluster.delta, cluster.m)
     return InvertibilityConstants(
         c_ls=float(c_ls), c_li=float(c_li), c_li2=float(c_li2), heuristic_k=k.imag != 0.0
     )

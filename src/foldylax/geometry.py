@@ -36,6 +36,7 @@ __all__ = [
     "RegimeReport",
     "compute_epsilon_delta",
     "shell_count",
+    "interaction_sum",
     "validate_regime",
     "icosphere",
     "load_off",
@@ -436,11 +437,26 @@ class RegimeReport:
         }
 
 
+def interaction_sum(k, delta: float, m: int) -> float:
+    """Interaction sum of the paper's smallness conditions:
+
+        ln(m^{1/3})/delta^3 + 2|k| m^{1/3}/delta^2 + m^{2/3} |k|^2/(2 delta)
+
+    It enters the regime check, the contraction estimate and ``c_li2``.
+    """
+    ak = abs(complex(k))
+    return (
+        math.log(m ** (1.0 / 3.0)) / delta**3
+        + 2.0 * ak * m ** (1.0 / 3.0) / delta**2
+        + m ** (2.0 / 3.0) * ak**2 / (2.0 * delta)
+    )
+
+
 def validate_regime(cluster: Cluster, k, mu_plus: float, threshold: float = 1.0) -> RegimeReport:
     """Evaluate the smallness condition governing the model's validity.
 
         |k|^2 eps + (1+|k|^2) mu+ eps^3/delta^3
-        + ( ln(m^{1/3})/delta^3 + 2|k| m^{1/3}/delta^2 + m^{2/3} |k|^2/(2 delta) ) eps^3
+        + interaction_sum(k, delta, m) eps^3
 
     ``mu_plus`` must be normalized with the same scale as ``cluster.epsilon``
     (the product mu+ * eps^3 is the largest dimensional tensor eigenvalue).
@@ -451,11 +467,7 @@ def validate_regime(cluster: Cluster, k, mu_plus: float, threshold: float = 1.0)
     eps, delta, m = cluster.epsilon, cluster.delta, cluster.m
     size_term = ak**2 * eps
     tensor_term = (1.0 + ak**2) * mu_plus * eps**3 / delta**3
-    interaction = (
-        math.log(m ** (1.0 / 3.0)) / delta**3
-        + 2.0 * ak * m ** (1.0 / 3.0) / delta**2
-        + m ** (2.0 / 3.0) * ak**2 / (2.0 * delta)
-    ) * eps**3
+    interaction = interaction_sum(k, delta, m) * eps**3
     value = size_term + tensor_term + interaction
     return RegimeReport(
         value=value,

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import BodyShape, Cluster, SurfaceMesh, icosphere
+from .geometry import BodyShape, Cluster, SurfaceMesh
 
 __all__ = [
     "DegenerateMesh",
@@ -54,9 +54,6 @@ __all__ = [
 log = logging.getLogger(__name__)
 
 _ROW_BLOCK = 512  # assembly chunk; bounds peak memory at ~3*8*512*N bytes
-
-# Panel count used when a mesh body needs tensors and none were supplied.
-DEFAULT_SPHERE_SUBDIVISIONS = 3
 
 
 class DegenerateMesh(ValueError):
@@ -284,8 +281,3 @@ def tensor_report(body: BodyShape) -> dict:
             "t_tensor": np.linalg.eigvalsh(t).tolist(),
         },
     }
-
-
-def default_sphere_mesh(radius: float, center=(0.0, 0.0, 0.0)) -> SurfaceMesh:
-    """Convenience mesh for validation work (1280 panels at the default level)."""
-    return icosphere(DEFAULT_SPHERE_SUBDIVISIONS, radius=radius, center=center)

@@ -47,6 +47,14 @@ class TestSolve:
         assert cli.main(["solve", "--scenario", scn, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_metadata_keys(self, tmp_path):
+        scn = write_scenario(tmp_path / "s.json", single_sphere_doc())
+        out = tmp_path / "solve.json"
+        assert cli.main(["solve", "--scenario", scn, "--out", str(out), "--seed", "3"]) == 0
+        meta = json.loads(out.read_text())["metadata"]
+        assert list(meta) == ["schema", "tool", "version", "seed"]
+        assert meta["seed"] == 3
+
     def test_scenario_output_path(self, tmp_path):
         doc = single_sphere_doc()
         doc["output"] = str(tmp_path / "declared.json")

@@ -115,18 +115,6 @@ class TestAssemble:
         )
         assert np.allclose(rhs, expected_rhs, rtol=1e-14)
 
-    def test_block_views(self, default_wave):
-        blocks, _ = assemble(sphere_cluster([(0, 0, 0), (1, 0, 0)], 0.05),
-                             sphere_tensors(2, 0.05), default_wave)
-        sigma = blocks.sigma_blocks()
-        theta = blocks.theta_blocks()
-        for mats in (sigma, theta):
-            for i in range(4):
-                assert np.all(mats[i, i] == 0)
-        # cross-type couplings carry the k^2 weighting on one side only
-        assert np.allclose(theta[2:, :2][0, 1],
-                           default_wave.k**2 * theta[:2, 2:][0, 1], rtol=1e-14)
-
     def test_swap_bodies_permutes_blocks(self, default_wave):
         centers = np.array([[0.0, 0, 0], [1.0, 0.3, 0]])
         radius = 0.05
@@ -236,20 +224,23 @@ class TestDirectSolve:
             solve_direct(blocks, rhs, cap=1)
 
     def test_chunked_kernel_path_matches_cached(self, rng, default_wave, monkeypatch):
-        # above the cache cap, pair kernels are recomputed in row blocks;
-        # both paths must agree to rounding
+        # over the byte budget the coupling slabs are recomputed on every
+        # application; both paths must agree to rounding
         centers = np.array([[i * 0.9, j * 0.9, 0.0] for i in range(5) for j in range(4)])
         cluster = sphere_cluster(centers, 0.05)
         tensors = sphere_tensors(len(centers), 0.05)
         cached, rhs = assemble(cluster, tensors, default_wave)
-        assert cached._pi is not None
-        monkeypatch.setattr(foldy, "KERNEL_CACHE_CAP", 4)
+        assert cached._cached is not None
+        monkeypatch.setattr(foldy, "COUPLING_CACHE_BYTES", 288 * len(centers) ** 2 - 1)
         chunked, _ = assemble(cluster, tensors, default_wave)
-        assert chunked._pi is None
+        assert chunked._cached is None
+        assert len(list(chunked._kernel_slabs())) >= 2
         x = rng.normal(size=6 * len(centers)) + 1j * rng.normal(size=6 * len(centers))
         ref = cached.apply(x)
         assert np.linalg.norm(chunked.apply(x) - ref) <= 1e-13 * np.linalg.norm(ref)
-        direct = solve_direct(cached, rhs)
+        matrix = cached.materialize()
+        assert np.linalg.norm(chunked.materialize() - matrix) <= 1e-13 * np.linalg.norm(matrix)
+        direct = solve_direct(chunked, rhs)
         iterative = solve_neumann(chunked, rhs, tol=1e-13)
         dev = np.linalg.norm(direct.a_coeffs - iterative.a_coeffs) / np.linalg.norm(
             direct.a_coeffs
