@@ -392,12 +392,20 @@ def _cmd_gen(args):
     else:
         if args.m is None:
             raise ScenarioError("--m: required for random clusters")
+        if args.m < 1:
+            raise ScenarioError("--m: must be >= 1")
         rng = np.random.default_rng(args.seed)
+        limit = 2.0 * args.radius + args.min_gap
+        placed = np.empty((args.m, 3))
         tries = 0
         while len(centers) < args.m:
             cand = rng.uniform(0.0, args.box, size=3)
-            if all(np.linalg.norm(cand - np.asarray(c)) > 2.0 * args.radius + args.min_gap
-                   for c in centers):
+            others = placed[: len(centers)]
+            # the batched norm can differ from np.linalg.norm in the last bit,
+            # so centers near the limit are tested with the latter
+            near = np.linalg.norm(others - cand, axis=1) <= limit * (1.0 + 1e-14)
+            if all(np.linalg.norm(cand - c) > limit for c in others[near]):
+                placed[len(centers)] = cand
                 centers.append([float(v) for v in cand])
             tries += 1
             if tries > 10000 * args.m:

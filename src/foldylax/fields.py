@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .foldy import FoldySolution, InvertibilityConstants, PlaneWave
-from .geometry import Cluster
+from .geometry import Cluster, _screen
 from .greens import CoincidentPoints, coupling_kernels
 from .layerops import ClusterSpectra
 
@@ -92,11 +92,19 @@ def near_field(solution: FoldySolution, cluster: Cluster, wave: PlaneWave, point
 
     Points closer to the cluster than ``delta`` trigger
     `NearFieldProximityWarning` (the expansion is stated at that standoff);
-    a point on a body center raises `CoincidentWithCenter`.
+    the closest point-body pairs are found by the screen of `geometry`.  A
+    point on a body center raises `CoincidentWithCenter`.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    if not np.all(np.isfinite(pts)):
+        raise ValueError("evaluation points must be finite")
     if cluster.m >= 2 and np.isfinite(cluster.delta):
-        closest = min(cluster.surface_distance_to_point(p) for p in pts)
+
+        def distance(p, j):
+            return cluster.bodies[j].surface_distance_to_point(pts[p])
+
+        near = _screen(pts, np.zeros(len(pts)), cluster.centers, cluster.reach, distance)
+        closest = min((distance(p, j) for p, j in near), default=math.inf)
         if closest < cluster.delta * (1.0 - 1e-12):
             warnings.warn(
                 f"evaluation point at distance {closest:g} from the cluster is closer "

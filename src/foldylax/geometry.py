@@ -14,6 +14,18 @@ Conventions
   error budgets and conditioning checks.
 * Mesh diameters use the vertex set, which realizes the surface diameter
   exactly (the surface lies in the convex hull of its vertices).
+* ``delta`` is found by a screen, not by a loop over all pairs.  A body's
+  reach ``R`` is the radius of the ball about its center that holds it (the
+  sphere radius, or the farthest mesh vertex), so ``|c_i - c_j| - (R_i + R_j)``
+  is a lower bound on the gap of bodies i and j; for two spheres it is the
+  gap.  The bounds are computed blockwise in numpy.  The pair with the
+  smallest bound is evaluated exactly with `BodyShape.surface_distance_to`,
+  and so is every pair whose bound, less a few ulps, does not exceed that
+  value (or 0, whichever is larger), in lexicographic ``(i, j)`` order.
+  ``delta`` is the smallest of these exact gaps, and the first of them that
+  is <= 0 raises `OverlappingBodies`, so both come out as an all-pairs loop
+  would give them.  The near-field standoff screens point-body pairs the
+  same way, with ``R = 0`` for the points.
 * A single-body cluster reports ``delta = +inf``; interaction terms divide by
   ``delta`` and therefore vanish.
 """
@@ -21,6 +33,7 @@ Conventions
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,6 +58,8 @@ __all__ = [
 ]
 
 _CHUNK = 1024  # row block for pairwise-distance sweeps
+_TILE = 128  # rows and columns of one screen block: about 0.3 MiB of temporaries
+_SLACK = 8 * np.finfo(float).eps  # screen margin, relative to |x_i - y_j| + r_i + r_j
 
 
 class MeshError(ValueError):
@@ -286,8 +301,10 @@ class BodyShape:
         self.center = np.asarray(self.center, dtype=float).reshape(3)
         if (self.radius is None) == (self.mesh is None):
             raise ValueError("exactly one of radius / mesh must be given")
-        if self.radius is not None and self.radius <= 0.0:
-            raise ValueError("sphere radius must be positive")
+        if not np.all(np.isfinite(self.center)):
+            raise ValueError("body center must be finite")
+        if self.radius is not None and not 0.0 < self.radius < math.inf:
+            raise ValueError("sphere radius must be positive and finite")
         if self.mesh is not None and not self.mesh.contains(self.center):
             raise MeshError("body center lies outside the mesh")
 
@@ -340,12 +357,76 @@ class BodyShape:
         return float(np.linalg.norm(self.mesh.vertices - o, axis=1).max())
 
 
+def _centers_and_reach(bodies) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only body centers (m, 3) and reaches (m,) (see Conventions)."""
+    centers = np.array([b.center for b in bodies], dtype=float).reshape(-1, 3)
+    reach = np.array([b.enclosing_radius_from(b.center) for b in bodies], dtype=float)
+    centers.flags.writeable = False
+    reach.flags.writeable = False
+    return centers, reach
+
+
+def _screened_bounds(x, rx, y, ry, i0, j0, distinct):
+    """Bounds of the tile of pairs starting at (i0, j0), less the screen margin.
+
+    Entry (i, j) is ``|x_i - y_j| (1 - s) - (rx_i + ry_j)(1 + s)`` with
+    ``s = _SLACK``; with ``distinct`` the pairs j <= i are +inf.
+    """
+    xs, ys = x[i0 : i0 + _TILE], y[j0 : j0 + _TILE]
+    sq = np.zeros((len(xs), len(ys)))
+    for axis in range(3):
+        d = np.subtract.outer(xs[:, axis], ys[:, axis])
+        d *= d
+        sq += d
+    bound = np.sqrt(sq, out=sq)
+    bound *= 1.0 - _SLACK
+    reach = np.add.outer(rx[i0 : i0 + _TILE], ry[j0 : j0 + _TILE])
+    reach *= 1.0 + _SLACK
+    bound -= reach
+    if distinct:
+        rows = np.arange(i0, i0 + len(xs))
+        bound[rows[:, None] >= np.arange(j0, j0 + len(ys))] = np.inf
+    return bound
+
+
+def _screen(x, rx, y, ry, exact, distinct=False) -> list[tuple[int, int]]:
+    """Pairs (i, j) that can hold the smallest ``exact(i, j)``, in (i, j) order.
+
+    ``exact(i, j)`` must be at least ``|x_i - y_j| - (rx_i + ry_j)`` up to
+    rounding.  The pair of smallest bound is evaluated; every pair whose
+    bound, less a few ulps of ``|x_i - y_j| + rx_i + ry_j``, is at most
+    ``max(that value, 0)`` is returned.  This includes every pair at which
+    ``exact`` is smallest or <= 0.  ``distinct`` keeps the pairs i < j of one
+    set (``x is y``).  Bounds are computed in tiles of ``_TILE`` x ``_TILE``.
+    """
+    lows = []  # (smallest bound, i, j, tile origin) per tile
+    for i0 in range(0, len(x), _TILE):
+        for j0 in range(i0 if distinct else 0, len(y), _TILE):
+            bound = _screened_bounds(x, rx, y, ry, i0, j0, distinct)
+            i, j = np.unravel_index(np.argmin(bound), bound.shape)
+            lows.append((bound[i, j], i0 + i, j0 + j, i0, j0))
+    if not lows:
+        return []
+    _, i, j, _, _ = min(lows)
+    limit = max(exact(int(i), int(j)), 0.0)
+    rows, cols = [], []
+    for low, _, _, i0, j0 in lows:
+        if low <= limit:
+            ii, jj = np.nonzero(_screened_bounds(x, rx, y, ry, i0, j0, distinct) <= limit)
+            rows.append(ii + i0)
+            cols.append(jj + j0)
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    order = np.lexsort((cols, rows))
+    return list(zip(rows[order].tolist(), cols[order].tolist()))
+
+
 def compute_epsilon_delta(bodies) -> tuple[float, float]:
     """Largest body diameter and smallest inter-body surface gap.
 
     For a single body the gap is reported as ``+inf``; callers treat every
     interaction term as absent.  Raises `OverlappingBodies` if any pair has
-    nonpositive gap and `EmptyCluster` for an empty list.
+    nonpositive gap and `EmptyCluster` for an empty list.  The gap is found
+    by the screen described in the module docstring.
     """
     bodies = list(bodies)
     if not bodies:
@@ -353,13 +434,17 @@ def compute_epsilon_delta(bodies) -> tuple[float, float]:
     eps = max(b.diameter() for b in bodies)
     if len(bodies) == 1:
         return eps, math.inf
+    centers, reach = _centers_and_reach(bodies)
+
+    def gap(i, j):
+        return bodies[i].surface_distance_to(bodies[j])
+
     delta = math.inf
-    for i in range(len(bodies)):
-        for j in range(i + 1, len(bodies)):
-            gap = bodies[i].surface_distance_to(bodies[j])
-            if gap <= 0.0:
-                raise OverlappingBodies(f"bodies {i} and {j} touch or overlap (gap {gap:g})")
-            delta = min(delta, gap)
+    for i, j in _screen(centers, reach, centers, reach, gap, distinct=True):
+        g = gap(i, j)
+        if g <= 0.0:
+            raise OverlappingBodies(f"bodies {i} and {j} touch or overlap (gap {g:g})")
+        delta = min(delta, g)
     return eps, delta
 
 
@@ -369,13 +454,20 @@ class Cluster:
 
     ``domain_diameter`` is the diameter of a ball containing every body; when
     not supplied it is set to twice the enclosing radius about the mean body
-    center (a cheap upper bound on the minimal enclosing ball).
+    center (a cheap upper bound on the minimal enclosing ball).  ``centers``
+    (m, 3) and ``reach`` (m,) are read-only arrays built on construction;
+    ``reach`` is each body's radius about its center (see Conventions).
     """
 
     bodies: list[BodyShape]
     epsilon: float
     delta: float
     domain_diameter: float
+    centers: np.ndarray = field(init=False, repr=False, compare=False)
+    reach: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.centers, self.reach = _centers_and_reach(self.bodies)
 
     @classmethod
     def from_bodies(cls, bodies, domain_diameter: float | None = None) -> "Cluster":
@@ -395,13 +487,6 @@ class Cluster:
     @property
     def m(self) -> int:
         return len(self.bodies)
-
-    @property
-    def centers(self) -> np.ndarray:
-        return np.array([b.center for b in self.bodies])
-
-    def surface_distance_to_point(self, point) -> float:
-        return min(b.surface_distance_to_point(point) for b in self.bodies)
 
 
 def shell_count(m: int) -> int:
@@ -485,6 +570,10 @@ def validate_regime(cluster: Cluster, k, mu_plus: float, threshold: float = 1.0)
 # Scenario ingestion
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 def cluster_from_dict(doc: dict, base_dir=None) -> Cluster:
     """Build a cluster from a scenario document.
 
@@ -502,14 +591,20 @@ def cluster_from_dict(doc: dict, base_dir=None) -> Cluster:
     bodies = []
     for i, spec in enumerate(raw):
         where = f"bodies[{i}]"
+        if not isinstance(spec, dict):
+            raise ValueError(f"{where}: must be an object")
         kind = spec.get("kind")
         center = spec.get("center")
-        if center is None or len(center) != 3:
-            raise ValueError(f"{where}.center: must be a 3-vector")
+        if not isinstance(center, (list, tuple)) or len(center) != 3 or not all(
+            map(_is_number, center)
+        ):
+            raise ValueError(f"{where}.center: must be a list of 3 numbers")
+        if not all(map(math.isfinite, center)):
+            raise ValueError(f"{where}.center: components must be finite")
         if kind == "sphere":
             radius = spec.get("radius")
-            if radius is None or not radius > 0.0:
-                raise ValueError(f"{where}.radius: must be a positive number")
+            if not _is_number(radius) or not 0.0 < radius < math.inf:
+                raise ValueError(f"{where}.radius: must be a positive finite number")
             bodies.append(BodyShape.sphere(float(radius), center))
         elif kind == "mesh":
             rel = spec.get("mesh_path")

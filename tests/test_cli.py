@@ -93,6 +93,24 @@ class TestSolve:
         scn = write_scenario(tmp_path / "s.json", doc)
         assert cli.main(["solve", "--scenario", scn]) == 2
 
+    @pytest.mark.parametrize("body,field", [
+        ({"kind": "sphere", "center": [0.0, math.nan, 0.0], "radius": 0.1}, "bodies[1].center"),
+        ({"kind": "sphere", "center": [0.0, 0.0, math.inf], "radius": 0.1}, "bodies[1].center"),
+        ({"kind": "sphere", "center": [0.0, 0.0, 1.0], "radius": "0.1"}, "bodies[1].radius"),
+        ({"kind": "sphere", "center": [0.0, 0.0, 1.0], "radius": math.nan}, "bodies[1].radius"),
+        ({"kind": "sphere", "center": [0.0, 0.0, 1.0], "radius": math.inf}, "bodies[1].radius"),
+        ([0.0, 0.0, 1.0], "bodies[1]:"),
+        ({"kind": "sphere", "center": [0.0, 1.0], "radius": 0.1}, "bodies[1].center"),
+        ({"kind": "sphere", "center": [0.0, "1", 0.0], "radius": 0.1}, "bodies[1].center"),
+        ({"kind": "sphere", "center": 1.0, "radius": 0.1}, "bodies[1].center"),
+    ])
+    def test_bad_body_exit_2_names_field(self, tmp_path, capsys, body, field):
+        doc = single_sphere_doc()
+        doc["bodies"].append(body)
+        scn = write_scenario(tmp_path / "s.json", doc)
+        assert cli.main(["solve", "--scenario", scn]) == 2
+        assert f"error: {field}" in capsys.readouterr().err
+
     def test_missing_mesh_file_is_hard_error(self, tmp_path):
         doc = single_sphere_doc()
         doc["bodies"] = [{"kind": "mesh", "center": [0, 0, 0], "mesh_path": "absent.off"}]
@@ -215,6 +233,14 @@ class TestGen:
         doc = json.loads(out1.read_text())
         assert doc["metadata"]["seed"] == 7
         assert len(doc["bodies"]) == 5
+
+    def test_random_keeps_min_gap(self, tmp_path):
+        out = tmp_path / "r.json"
+        assert cli.main(["gen", "--kind", "random", "--m", "60", "--radius", "0.03",
+                         "--min-gap", "0.05", "--seed", "2", "--out", str(out)]) == 0
+        centers = np.array([b["center"] for b in json.loads(out.read_text())["bodies"]])
+        dist = np.linalg.norm(centers[:, None] - centers[None], axis=-1)
+        assert dist[np.triu_indices(60, 1)].min() > 2 * 0.03 + 0.05
 
 
 def test_validate_subcommand(tmp_path, capsys):

@@ -1,10 +1,13 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from conftest import solved_sphere_system, sphere_cluster, sphere_tensors
-from foldylax import foldy, layerops
+from foldylax import foldy, geometry, layerops
 from foldylax.fields import (
     CoincidentWithCenter,
     ComplexWavenumberFarField,
@@ -145,6 +148,109 @@ class TestNearField:
         with pytest.warns(NearFieldProximityWarning):  # point is inside the cluster
             with pytest.raises(CoincidentWithCenter):
                 near_field(sol, cluster, default_wave, [(0.0, 0.0, 0.0)])
+
+
+def zero_solution(m):
+    return foldy.FoldySolution(np.zeros((m, 3), complex), np.zeros((m, 3), complex), 0.0, "direct", 0)
+
+
+def mesh_body(center, size, level=1, axes=(1.0, 0.8, 0.6)):
+    mesh = geometry.icosphere(level, size).transformed(np.diag(axes)).translated(center)
+    return geometry.BodyShape(center=center, mesh=mesh)
+
+
+def proximity_messages(cluster, points):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            near_field(zero_solution(cluster.m), cluster, PlaneWave(1.0, (0, 0, 1), (1, 0, 0)),
+                       points)
+        except CoincidentWithCenter:  # raised after the proximity check
+            pass
+    return [str(w.message) for w in caught if w.category is NearFieldProximityWarning]
+
+
+def assert_warns_like_reference(cluster, points):
+    """Warn exactly when the all-pairs minimum is below the threshold, with its value."""
+    closest = min(b.surface_distance_to_point(p) for p in points for b in cluster.bodies)
+    messages = proximity_messages(cluster, points)
+    if closest < cluster.delta * (1.0 - 1e-12):
+        assert len(messages) == 1
+        assert messages[0].startswith(f"evaluation point at distance {closest:g} ")
+    else:
+        assert messages == []
+    return closest
+
+
+coords = st.floats(0.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def clusters_and_points(draw):
+    """Mesh-only or mixed clusters that do not overlap, and points around them."""
+    mesh_only = draw(st.booleans())
+    bodies = []
+    for center in draw(st.lists(st.tuples(coords, coords, coords), min_size=2, max_size=6)):
+        size = draw(st.floats(0.01, 0.08))
+        if mesh_only or draw(st.booleans()):
+            bodies.append(mesh_body(center, size, level=draw(st.integers(0, 1))))
+        else:
+            bodies.append(geometry.BodyShape.sphere(size, center))
+    try:
+        cluster = geometry.Cluster.from_bodies(bodies)
+    except geometry.OverlappingBodies:
+        cluster = None
+    assume(cluster is not None)
+    points = draw(st.lists(st.tuples(*[st.floats(-0.2, 1.2)] * 3), min_size=1, max_size=60))
+    return cluster, np.array(points)
+
+
+class TestNearFieldStandoff:
+    @settings(max_examples=60, deadline=None)
+    @given(clusters_and_points())
+    def test_warning_matches_all_pairs(self, case):
+        assert_warns_like_reference(*case)
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    def test_threshold_edge(self, mixed):
+        first = geometry.BodyShape.sphere(0.05, (0, 0, 0)) if mixed else mesh_body((0, 0, 0), 0.05)
+        cluster = geometry.Cluster.from_bodies([first, mesh_body((0.3, 0, 0), 0.05)])
+        delta = cluster.delta
+        # move outward from the body at x = 0.3 along the ray through its vertex
+        # farthest in +x, so that vertex stays the closest surface point
+        vertices = cluster.bodies[1].mesh.vertices
+        tip = vertices[np.argmax(vertices[:, 0])]
+        ray = (tip - cluster.centers[1]) / np.linalg.norm(tip - cluster.centers[1])
+        just_outside = tip + delta * (1.0 - 0.5e-12) * ray
+        just_inside = tip + delta * (1.0 - 2e-12) * ray
+        far = np.array([0.15, 2.0, 0.0])
+        closest = assert_warns_like_reference(cluster, np.array([far, just_outside]))
+        assert delta * (1.0 - 1e-12) <= closest < delta
+        closest = assert_warns_like_reference(cluster, np.array([far, just_inside]))
+        assert closest < delta * (1.0 - 1e-12)
+
+    def test_evaluates_few_point_body_pairs(self, monkeypatch):
+        axis = np.arange(6) * 0.4
+        grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+        grid += np.random.default_rng(5).uniform(-0.02, 0.02, grid.shape)
+        cluster = sphere_cluster(grid, 0.02)
+        points = 3.0 * unit_vectors(np.random.default_rng(6), 512) + 1.0
+        calls = []
+        original = geometry.BodyShape.surface_distance_to_point
+
+        def counted(self, point):
+            calls.append(1)
+            return original(self, point)
+
+        monkeypatch.setattr(geometry.BodyShape, "surface_distance_to_point", counted)
+        near_field(zero_solution(cluster.m), cluster, PlaneWave(1.0, (0, 0, 1), (1, 0, 0)), points)
+        assert len(calls) < len(points)  # all pairs: 512 * 216
+
+    def test_non_finite_points_rejected(self):
+        cluster = sphere_cluster([(0, 0, 0), (1, 0, 0)], 0.1)
+        with pytest.raises(ValueError, match="finite"):
+            near_field(zero_solution(2), cluster, PlaneWave(1.0, (0, 0, 1), (1, 0, 0)),
+                       [(0.5, np.nan, 0.0)])
 
 
 class TestVarepsilon:

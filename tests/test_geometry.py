@@ -76,6 +76,127 @@ class TestEpsilonDelta:
             previous_gap = abs(delta - exact)
 
 
+def all_pairs_epsilon_delta(bodies):
+    """Scalar reference: every pair in (i, j) order, first overlap raises."""
+    eps = max(b.diameter() for b in bodies)
+    delta = math.inf
+    for i in range(len(bodies)):
+        for j in range(i + 1, len(bodies)):
+            gap = bodies[i].surface_distance_to(bodies[j])
+            if gap <= 0.0:
+                raise OverlappingBodies(f"bodies {i} and {j} touch or overlap (gap {gap:g})")
+            delta = min(delta, gap)
+    return eps, delta
+
+
+def same_as_reference(bodies):
+    """compute_epsilon_delta equals the reference, or raises the same message."""
+    try:
+        expected = all_pairs_epsilon_delta(bodies)
+    except OverlappingBodies as exc:
+        with pytest.raises(OverlappingBodies) as got:
+            compute_epsilon_delta(bodies)
+        assert str(got.value) == str(exc)
+        return False
+    assert compute_epsilon_delta(bodies) == expected
+    return True
+
+
+coords = st.floats(0.0, 1.0, allow_nan=False)
+points3 = st.tuples(coords, coords, coords)
+
+
+@st.composite
+def sphere_clusters(draw, max_size=40):
+    """Spheres with radii spanning 10x; dense draws overlap."""
+    centers = draw(st.lists(points3, min_size=2, max_size=max_size))
+    r0 = draw(st.floats(1e-3, 0.02))
+    radii = draw(st.lists(st.floats(r0, 10 * r0), min_size=len(centers), max_size=len(centers)))
+    return [BodyShape.sphere(r, c) for r, c in zip(radii, centers)]
+
+
+@st.composite
+def mixed_clusters(draw):
+    """Spheres and icosphere meshes (levels 0-1, scaled per axis)."""
+    bodies = []
+    for center in draw(st.lists(points3, min_size=2, max_size=10)):
+        size = draw(st.floats(0.01, 0.1))
+        if draw(st.booleans()):
+            bodies.append(BodyShape.sphere(size, center))
+        else:
+            axes = draw(st.tuples(*[st.floats(0.5, 1.0)] * 3))
+            mesh = icosphere(draw(st.integers(0, 1)), size).transformed(np.diag(axes))
+            bodies.append(BodyShape(center=center, mesh=mesh.translated(center)))
+    return bodies
+
+
+class TestScreenedDelta:
+    @settings(max_examples=60, deadline=None)
+    @given(sphere_clusters())
+    def test_spheres_match_all_pairs(self, bodies):
+        same_as_reference(bodies)
+
+    @settings(max_examples=40, deadline=None)
+    @given(mixed_clusters())
+    def test_mixed_meshes_match_all_pairs(self, bodies):
+        same_as_reference(bodies)
+
+    @settings(max_examples=40, deadline=None)
+    @given(sphere_clusters(), st.data())
+    def test_overlaps_name_the_first_pair(self, bodies, data):
+        # copies shifted by less than their radius overlap their originals,
+        # so several pairs overlap and the first one in (i, j) order is named
+        copies = []
+        for body in data.draw(st.lists(st.sampled_from(bodies), min_size=1, max_size=4)):
+            shift = data.draw(st.tuples(*[st.floats(-0.5, 0.5)] * 3))
+            copies.append(BodyShape.sphere(body.radius, body.center + np.multiply(shift, body.radius)))
+        assert not same_as_reference(bodies + copies)
+
+    @pytest.mark.parametrize("spacing", [0.4, 0.1, 0.0805])
+    def test_lattice_ties_match_all_pairs(self, spacing):
+        # lattice gaps tie up to rounding, so every nearest-neighbour pair is a candidate
+        axis = np.arange(7) * spacing
+        grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)
+        assert same_as_reference(spheres(*((0.04, c) for c in grid)))
+
+    @staticmethod
+    def count_pair_calls(monkeypatch, bodies):
+        calls = []
+        original = BodyShape.surface_distance_to
+
+        def counted(self, other):
+            calls.append(1)
+            return original(self, other)
+
+        monkeypatch.setattr(BodyShape, "surface_distance_to", counted)
+        compute_epsilon_delta(bodies)
+        return len(calls)
+
+    def test_jittered_lattice_evaluates_few_pairs(self, monkeypatch):
+        axis = np.arange(0, 4.0, 0.4)  # 10 x 10 x 4 = 400 spheres
+        grid = np.stack(np.meshgrid(axis, axis, axis[:4], indexing="ij"), axis=-1).reshape(-1, 3)
+        grid += np.random.default_rng(4).uniform(-0.02, 0.02, grid.shape)
+        bodies = spheres(*((0.02, c) for c in grid))
+        assert len(bodies) == 400
+        assert self.count_pair_calls(monkeypatch, bodies) < len(bodies)  # all pairs: 79 800
+
+    def test_exact_lattice_evaluates_neighbour_pairs(self, monkeypatch):
+        # ties up to rounding are all evaluated: the 1030 nearest-neighbour
+        # pairs of a 10 x 10 x 4 lattice, plus the seed pair
+        axis = np.arange(0, 4.0, 0.4)
+        grid = np.stack(np.meshgrid(axis, axis, axis[:4], indexing="ij"), axis=-1).reshape(-1, 3)
+        bodies = spheres(*((0.02, c) for c in grid))
+        neighbour_pairs = 9 * 10 * 4 + 10 * 9 * 4 + 10 * 10 * 3
+        assert self.count_pair_calls(monkeypatch, bodies) <= neighbour_pairs + 1
+
+    def test_cluster_arrays_are_read_only(self):
+        cluster = Cluster.from_bodies(spheres((0.1, (0, 0, 0)), (0.2, (1, 0, 0))))
+        assert np.array_equal(cluster.centers, [[0, 0, 0], [1, 0, 0]])
+        assert np.array_equal(cluster.reach, [0.1, 0.2])
+        with pytest.raises(ValueError):
+            cluster.centers[0, 0] = 1.0
+
+
 class TestShellCount:
     @pytest.mark.parametrize("m,n", [(100, 1), (1000, 3), (1, 1)])
     def test_examples(self, m, n):
